@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def mean(values: list[float]) -> float:
@@ -39,10 +38,25 @@ def excess_kurtosis(values: list[float]) -> float:
     The paper reports kurtosis 8.4 / 6.8 for the timedelta distributions
     and reads them as fat-tailed; any value well above 0 carries the
     same interpretation.
+
+    Computed as ``scipy.stats.kurtosis(values, bias=False)`` does (the
+    bias-corrected Fisher estimator), without importing ``scipy.stats``
+    at CLI start-up; near-constant input gives ``nan`` as it does there.
     """
     if len(values) < 4:
         raise ValueError("kurtosis needs at least 4 samples")
-    return float(scipy_stats.kurtosis(values, fisher=True, bias=False))
+    samples = np.asarray(values, dtype=np.float64)
+    n = len(samples)
+    center = samples.mean()
+    squared = (samples - center) ** 2
+    m2 = squared.mean()
+    m4 = (squared**2).mean()
+    if m2 <= (np.finfo(np.float64).eps * center) ** 2:
+        return math.nan
+    # scipy's operation order, down to the +3 / -3 round trip, so the
+    # two agree to the last bit.
+    kurtosis = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
+    return float(kurtosis + 3.0 - 3)
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,10 @@ class PairedTTestResult:
 
 def paired_t_test(series_a: list[float], series_b: list[float]) -> PairedTTestResult:
     """Two-sided paired t-test (scipy ``ttest_rel``)."""
+    # Imported here: scipy.stats costs about a second of start-up, and
+    # only the Figure 2 comparison needs it.
+    from scipy import stats as scipy_stats
+
     if len(series_a) != len(series_b):
         raise ValueError("paired t-test requires equal-length series")
     result = scipy_stats.ttest_rel(series_a, series_b)

@@ -11,7 +11,9 @@ The engine works in four steps:
 1. binarise the image into ink/background (auto polarity),
 2. estimate the cell scale from ink run lengths,
 3. segment lines and, per line, search a small set of grid alignments,
-4. decode each grid cell by nearest-glyph template matching.
+4. decode each grid cell by nearest-glyph template matching; a cell's
+   ink fraction comes from four lookups in one summed-area table built
+   per image, not from a pass over its pixels.
 """
 
 from __future__ import annotations
@@ -59,11 +61,10 @@ def _run_lengths(mask: np.ndarray) -> Counter:
         padded = np.zeros((axis_mask.shape[0], axis_mask.shape[1] + 2), dtype=bool)
         padded[:, 1:-1] = axis_mask
         diff = np.diff(padded.astype(np.int8), axis=1)
-        for row_diff in diff:
-            starts = np.flatnonzero(row_diff == 1)
-            ends = np.flatnonzero(row_diff == -1)
-            for start, end in zip(starts, ends):
-                counts[int(end - start)] += 1
+        # Row-major flat indices pair each run's start with its end, and
+        # keep the scan order that breaks most_common ties.
+        lengths = np.flatnonzero(diff == -1) - np.flatnonzero(diff == 1)
+        counts.update(lengths.tolist())
     return counts
 
 
@@ -104,34 +105,51 @@ def _line_bands(mask: np.ndarray, scale: int) -> list[tuple[int, int]]:
     return merged
 
 
-def _cell_bits(mask: np.ndarray, x: int, y: int, scale: int) -> np.ndarray:
-    """Downsample a glyph cell at (x, y) to a 7x5 boolean matrix."""
-    bits = np.zeros((GLYPH_HEIGHT, GLYPH_WIDTH), dtype=bool)
-    height, width = mask.shape
-    for row in range(GLYPH_HEIGHT):
-        y0, y1 = y + row * scale, y + (row + 1) * scale
-        if y1 <= 0 or y0 >= height:
-            continue
-        for col in range(GLYPH_WIDTH):
-            x0, x1 = x + col * scale, x + (col + 1) * scale
-            if x1 <= 0 or x0 >= width:
-                continue
-            block = mask[max(y0, 0) : y1, max(x0, 0) : x1]
-            if block.size:
-                bits[row, col] = block.mean() >= 0.5
-    return bits
+def _summed_area(mask: np.ndarray) -> np.ndarray:
+    """Return the int64 summed-area table of ``mask``.
+
+    ``table[y, x]`` counts the ink pixels in ``mask[:y, :x]``, so any
+    rectangle's ink count takes four lookups.
+    """
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    np.cumsum(np.cumsum(mask, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
+    return table
 
 
-def _match_glyph(bits: np.ndarray) -> tuple[str, float]:
-    """Return the best-matching character and its similarity in [0, 1]."""
-    distances = (np.logical_xor(_GLYPH_STACK, bits)).reshape(len(_GLYPH_CHARS), -1).sum(axis=1)
-    best = int(distances.argmin())
-    similarity = 1.0 - distances[best] / (GLYPH_WIDTH * GLYPH_HEIGHT)
-    return _GLYPH_CHARS[best], float(similarity)
+def _cell_bits(table: np.ndarray, xs: np.ndarray, y: int, scale: int) -> np.ndarray:
+    """Downsample the glyph cells at x origins ``xs`` and row ``y``.
+
+    Returns a ``(len(xs), 7, 5)`` boolean array.  ``table`` is the
+    mask's :func:`_summed_area`.  A font cell is ink when at least half
+    of its pixels inside the image are; cells wholly outside are blank.
+    """
+    height, width = table.shape[0] - 1, table.shape[1] - 1
+    y_edges = np.clip(y + scale * np.arange(GLYPH_HEIGHT + 1), 0, height)
+    x_edges = np.clip(xs[:, None] + scale * np.arange(GLYPH_WIDTH + 1), 0, width)
+    corners = table[y_edges[None, :, None], x_edges[:, None, :]]
+    ink = (
+        corners[:, 1:, 1:] - corners[:, :-1, 1:] - corners[:, 1:, :-1] + corners[:, :-1, :-1]
+    )
+    size = np.diff(y_edges)[None, :, None] * np.diff(x_edges, axis=1)[:, None, :]
+    return (size > 0) & (2 * ink >= size)
+
+
+def _match_glyphs(bits: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Return each cell's best-matching character and similarity in [0, 1].
+
+    A blank cell matches " " (the first glyph, and the only blank one)
+    with similarity exactly 1.0.
+    """
+    distances = np.logical_xor(_GLYPH_STACK[None], bits[:, None]).reshape(
+        len(bits), len(_GLYPH_CHARS), -1
+    ).sum(axis=2)
+    best = distances.argmin(axis=1)
+    similarity = 1.0 - distances[np.arange(len(bits)), best] / (GLYPH_WIDTH * GLYPH_HEIGHT)
+    return [_GLYPH_CHARS[index] for index in best], similarity
 
 
 def _decode_line(
-    mask: np.ndarray, band: tuple[int, int], scale: int
+    mask: np.ndarray, table: np.ndarray, band: tuple[int, int], scale: int
 ) -> tuple[str, float]:
     """Decode one line band, searching grid alignments for the best fit."""
     top, bottom = band
@@ -161,19 +179,9 @@ def _decode_line(
             n_cells = int(np.ceil((x_last + 1 - x_origin) / (_CELL_WIDTH * scale)))
             if n_cells <= 0:
                 continue
-            chars: list[str] = []
-            scores: list[float] = []
-            for index in range(n_cells):
-                x = x_origin + index * _CELL_WIDTH * scale
-                bits = _cell_bits(mask, x, y_origin, scale)
-                if not bits.any():
-                    chars.append(" ")
-                    scores.append(1.0)
-                    continue
-                char, similarity = _match_glyph(bits)
-                chars.append(char)
-                scores.append(similarity)
-            mean_score = float(np.mean(scores)) if scores else 0.0
+            xs = x_origin + _CELL_WIDTH * scale * np.arange(n_cells)
+            chars, scores = _match_glyphs(_cell_bits(table, xs, y_origin, scale))
+            mean_score = float(np.mean(scores))
             n_ink_chars = sum(1 for char in chars if char != " ")
             key = (mean_score, n_ink_chars, -row_offset)
             if key > best_key:
@@ -182,7 +190,9 @@ def _decode_line(
     return best_text, best_key[0]
 
 
-def _decode_at_scale(mask: np.ndarray, scale: int) -> tuple[str, float, int]:
+def _decode_at_scale(
+    mask: np.ndarray, table: np.ndarray, scale: int
+) -> tuple[str, float, int]:
     """Decode the whole mask at one candidate scale."""
     from repro._budget import OCR_BAND_UNITS, current_budget
 
@@ -196,7 +206,7 @@ def _decode_at_scale(mask: np.ndarray, scale: int) -> tuple[str, float, int]:
             # matches; charging per band bounds adversarially busy
             # images without touching the per-cell inner loops.
             budget.charge(OCR_BAND_UNITS, "ocr-tiles")
-        text, score = _decode_line(mask, band, scale)
+        text, score = _decode_line(mask, table, band, scale)
         lines.append(text)
         scores.append(score)
     joined = "\n".join(lines)
@@ -226,9 +236,10 @@ def ocr_image(image: Image) -> OcrResult:
     candidates = sorted(
         divisor for divisor in range(1, estimate + 1) if estimate % divisor == 0
     )
+    table = _summed_area(mask)
     best_text, best_key = "", (-1.0, -1)
     for scale in candidates:
-        text, score, ink_chars = _decode_at_scale(mask, scale)
+        text, score, ink_chars = _decode_at_scale(mask, table, scale)
         key = (score, ink_chars)
         if key > best_key:
             best_key = key

@@ -2,6 +2,11 @@
 
 Matrices are numpy boolean arrays (True = dark module) indexed
 ``[row, column]`` with (0, 0) at the top-left, as in ISO/IEC 18004.
+
+The encoder scores all eight mask candidates of every symbol, so
+:func:`penalty_score` is array code throughout: rule N1 reads run
+lengths off the flat positions of run boundaries, and rule N3 compares
+every 11-module sliding window at once.
 """
 
 from __future__ import annotations
@@ -169,46 +174,42 @@ def apply_mask(matrix: np.ndarray, reserved: np.ndarray, mask_id: int) -> np.nda
     return matrix ^ mask
 
 
-def _penalty_runs(line: np.ndarray) -> int:
-    score = 0
-    run_value = bool(line[0])
-    run_length = 1
-    for value in line[1:]:
-        if bool(value) == run_value:
-            run_length += 1
-        else:
-            if run_length >= 5:
-                score += 3 + (run_length - 5)
-            run_value = bool(value)
-            run_length = 1
-    if run_length >= 5:
-        score += 3 + (run_length - 5)
-    return score
-
-
 _FINDER_PATTERN = np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0], dtype=bool)
 
 
-def _penalty_finder_like(line: np.ndarray) -> int:
-    score = 0
-    window = len(_FINDER_PATTERN)
-    for start in range(len(line) - window + 1):
-        chunk = line[start : start + window]
-        if np.array_equal(chunk, _FINDER_PATTERN) or np.array_equal(
-            chunk, _FINDER_PATTERN[::-1]
-        ):
-            score += 40
-    return score
+def _penalty_runs(lines: np.ndarray) -> int:
+    """Rule N1 over every row of ``lines``: 3 + (length - 5) per run >= 5.
+
+    True sentinels at both ends of each row mark every run boundary; the
+    gap between a row's last sentinel and the next row's first is a
+    length-1 "run", which never scores.
+    """
+    boundaries = np.ones((lines.shape[0], lines.shape[1] + 1), dtype=bool)
+    boundaries[:, 1:-1] = lines[:, 1:] != lines[:, :-1]
+    lengths = np.diff(np.flatnonzero(boundaries))
+    long_runs = lengths[lengths >= 5]
+    return int((long_runs - 2).sum())
+
+
+def _penalty_finder_like(lines: np.ndarray) -> int:
+    """Rule N3 over every row of ``lines``: 40 per 1:1:3:1:1 window."""
+    if lines.shape[1] < len(_FINDER_PATTERN):
+        return 0
+    windows = np.lib.stride_tricks.sliding_window_view(
+        lines, len(_FINDER_PATTERN), axis=1
+    )
+    hits = (windows == _FINDER_PATTERN).all(axis=2) | (
+        windows == _FINDER_PATTERN[::-1]
+    ).all(axis=2)
+    return 40 * int(hits.sum())
 
 
 def penalty_score(matrix: np.ndarray) -> int:
     """The four-rule mask evaluation score of ISO/IEC 18004 section 8.8.2."""
+    # Rules N1 and N3 score rows and columns alike.
     score = 0
-    # N1: runs of the same color.
-    for row in matrix:
-        score += _penalty_runs(row)
-    for col in matrix.T:
-        score += _penalty_runs(col)
+    for lines in (matrix, matrix.T):
+        score += _penalty_runs(lines) + _penalty_finder_like(lines)
     # N2: 2x2 blocks of the same color.
     same = (
         (matrix[:-1, :-1] == matrix[:-1, 1:])
@@ -216,11 +217,6 @@ def penalty_score(matrix: np.ndarray) -> int:
         & (matrix[:-1, :-1] == matrix[1:, 1:])
     )
     score += 3 * int(same.sum())
-    # N3: finder-like patterns.
-    for row in matrix:
-        score += _penalty_finder_like(row)
-    for col in matrix.T:
-        score += _penalty_finder_like(col)
     # N4: dark-module proportion.
     dark_percent = matrix.mean() * 100.0
     score += 10 * int(abs(dark_percent - 50.0) // 5)

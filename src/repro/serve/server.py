@@ -529,6 +529,12 @@ class ServeDaemon:
             self._open_connections = max(0, self._open_connections - 1)
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        # A verdict line must not wait behind an unacknowledged
+        # "accepted" line for the client's delayed ACK (Nagle).
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
         session = _Session(
             conn,
             send_deadline=self.config.send_deadline,

@@ -50,6 +50,12 @@ class TestStats:
     def test_kurtosis_needs_samples(self):
         with pytest.raises(ValueError):
             stats.excess_kurtosis([1.0, 2.0])
+        with pytest.raises(ValueError):
+            stats.excess_kurtosis([1.0, 2.0, 3.0])
+
+    def test_kurtosis_of_constant_input_is_nan(self):
+        assert math.isnan(stats.excess_kurtosis([3.0] * 10))
+        assert math.isnan(stats.excess_kurtosis([0.0] * 4))
 
     def test_paired_t_test_significant(self):
         a = [10.0, 12.0, 9.0, 11.0, 13.0, 10.5, 9.5, 12.5]
@@ -83,6 +89,26 @@ class TestStats:
 def test_median_between_min_max_property(values):
     result = stats.median(values)
     assert min(values) <= result <= max(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=60)
+    | st.lists(st.sampled_from([0.0, 1.5, 2.0, 1e3]), min_size=4, max_size=12)
+)
+def test_kurtosis_matches_scipy_property(values):
+    import warnings
+
+    from scipy.stats import kurtosis
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's near-constant input note
+        expected = float(kurtosis(values, fisher=True, bias=False))
+    result = stats.excess_kurtosis(values)
+    if math.isnan(expected):
+        assert math.isnan(result)
+    else:
+        assert result == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestDomainSyntax:

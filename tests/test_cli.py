@@ -1,5 +1,9 @@
 """CLI tests (argument parsing and the run/report/table1 flows)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -215,3 +219,19 @@ class TestFlows:
         output = capsys.readouterr().out
         assert "notabot" in output
         assert output.count("FAIL") >= 8  # the detectable crawlers' cells
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up, and only the paired
+    # t-test behind Figure 2 needs it; `repro run` and `repro serve` don't.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = "import sys, repro.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -187,3 +187,96 @@ _QR_TEXT = st.text(
 def test_qr_roundtrip_property(payload, level):
     matrix = encode_qr(payload, level)
     assert decode_qr_matrix(matrix) == payload
+
+
+# ----------------------------------------------------------------------
+# Vectorised mask penalty == per-line reference loops
+# ----------------------------------------------------------------------
+_FINDER_REFERENCE = [True, False, True, True, True, False, True, False, False, False, False]
+
+
+def _penalty_runs_reference(line):
+    score = 0
+    run_value = bool(line[0])
+    run_length = 1
+    for value in line[1:]:
+        if bool(value) == run_value:
+            run_length += 1
+        else:
+            if run_length >= 5:
+                score += 3 + (run_length - 5)
+            run_value = bool(value)
+            run_length = 1
+    if run_length >= 5:
+        score += 3 + (run_length - 5)
+    return score
+
+
+def _penalty_finder_like_reference(line):
+    score = 0
+    window = len(_FINDER_REFERENCE)
+    for start in range(len(line) - window + 1):
+        chunk = [bool(value) for value in line[start : start + window]]
+        if chunk == _FINDER_REFERENCE or chunk == _FINDER_REFERENCE[::-1]:
+            score += 40
+    return score
+
+
+def _penalty_score_reference(matrix):
+    lines = list(matrix) + list(matrix.T)
+    score = sum(_penalty_runs_reference(line) + _penalty_finder_like_reference(line) for line in lines)
+    for row in range(matrix.shape[0] - 1):
+        for col in range(matrix.shape[1] - 1):
+            block = matrix[row : row + 2, col : col + 2]
+            if block.all() or not block.any():
+                score += 3
+    dark_percent = matrix.mean() * 100.0
+    return score + 10 * int(abs(dark_percent - 50.0) // 5)
+
+
+@st.composite
+def _bool_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=30))
+    cols = draw(st.integers(min_value=1, max_value=30))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return np.random.default_rng(seed).random((rows, cols)) < density
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bool_matrices())
+def test_penalty_score_matches_reference_on_random_matrices(matrix):
+    assert penalty_score(matrix) == _penalty_score_reference(matrix)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 10, 11, 12])
+def test_penalty_score_matches_reference_on_finder_rows(cols):
+    # Rows built from the finder pattern and its reverse score N3 hits
+    # that random matrices rarely reach, also at the 11-column edge.
+    stripe = np.array(_FINDER_REFERENCE * 3 + _FINDER_REFERENCE[::-1] * 3, dtype=bool)
+    rng = np.random.default_rng(cols)
+    for offset in range(len(_FINDER_REFERENCE)):
+        matrix = np.stack([np.roll(stripe, offset + row)[:cols] for row in range(15)])
+        matrix ^= rng.random(matrix.shape) < 0.03
+        for candidate in (matrix, matrix.T):
+            assert penalty_score(candidate) == _penalty_score_reference(candidate)
+
+
+@pytest.mark.parametrize(
+    "payload, level",
+    [("1234567890", ECLevel.H), ("https://evil-site.com/dhfYWfH", ECLevel.M), ("v" * 110, ECLevel.M)],
+)
+def test_penalty_score_matches_reference_on_every_mask_candidate(payload, level, monkeypatch):
+    import repro.qr.encoder as encoder
+
+    candidates = []
+
+    def recording_penalty(matrix):
+        candidates.append(matrix.copy())
+        return penalty_score(matrix)
+
+    monkeypatch.setattr(encoder, "penalty_score", recording_penalty)
+    encoder.encode_qr(payload, level)
+    assert len(candidates) == 8
+    for candidate in candidates:
+        assert penalty_score(candidate) == _penalty_score_reference(candidate)
